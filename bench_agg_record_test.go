@@ -26,10 +26,10 @@ import (
 	"testing"
 	"time"
 
-	"armcivt/internal/ckpt"
 	"armcivt/internal/core"
 	"armcivt/internal/figures"
 	"armcivt/internal/stats"
+	"armcivt/internal/sweep"
 )
 
 var updateBenchAgg = flag.Bool("update-bench-agg", false, "re-run the 256-node aggregation grid and rewrite BENCH_aggregation.json (slow)")
@@ -148,7 +148,7 @@ func regenerateBenchAgg(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ckpt.WriteFileAtomic(benchAggPath, append(data, '\n'), 0o644); err != nil {
+	if err := sweep.WriteFileAtomic(benchAggPath, append(data, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("wrote %s", benchAggPath)

@@ -31,9 +31,9 @@ import (
 	"os"
 	"testing"
 
-	"armcivt/internal/ckpt"
 	"armcivt/internal/core"
 	"armcivt/internal/figures"
+	"armcivt/internal/sweep"
 )
 
 var updateBenchOverload = flag.Bool("update-bench-overload", false, "re-run the overload storm grid and rewrite BENCH_overload.json")
@@ -180,7 +180,7 @@ func regenerateBenchOverload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ckpt.WriteFileAtomic(benchOverloadPath, append(data, '\n'), 0o644); err != nil {
+	if err := sweep.WriteFileAtomic(benchOverloadPath, append(data, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("wrote %s", benchOverloadPath)

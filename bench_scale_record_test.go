@@ -27,8 +27,8 @@ import (
 	"testing"
 	"time"
 
-	"armcivt/internal/ckpt"
 	"armcivt/internal/figures"
+	"armcivt/internal/sweep"
 )
 
 var updateBenchScale = flag.Bool("update-bench-scale", false, "re-run the large-N scaling grid and rewrite BENCH_scale.json (slow: ~10s)")
@@ -219,7 +219,7 @@ func regenerateBenchScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ckpt.WriteFileAtomic(benchScalePath, append(data, '\n'), 0o644); err != nil {
+	if err := sweep.WriteFileAtomic(benchScalePath, append(data, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("wrote %s", benchScalePath)

@@ -32,9 +32,9 @@ import (
 	"testing"
 	"time"
 
-	"armcivt/internal/ckpt"
 	"armcivt/internal/core"
 	"armcivt/internal/figures"
+	"armcivt/internal/sweep"
 )
 
 var updateBenchShards = flag.Bool("update-bench-shards", false, "re-run the chaos shard-scaling grid and rewrite BENCH_shards.json (slow: minutes)")
@@ -193,7 +193,7 @@ func regenerateBenchShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ckpt.WriteFileAtomic(benchShardsPath, append(data, '\n'), 0o644); err != nil {
+	if err := sweep.WriteFileAtomic(benchShardsPath, append(data, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("wrote %s", benchShardsPath)

@@ -34,11 +34,6 @@
 // ladder — see docs/OVERLOAD.md); the pacing_* and shed_* counters appear in
 // the -metrics snapshot.
 //
-// With -ckpt-dir, every run snapshots itself at quiescent virtual-time
-// boundaries (interval -ckpt-every) into the directory, and -resume restores
-// runs an earlier interrupted invocation left mid-flight — output stays
-// byte-identical to an uninterrupted run (see docs/CHECKPOINT.md).
-//
 // Usage:
 //
 //	contention -op vput|fadd [-level none|11|20|all] [-nodes 256] [-ppn 4]
@@ -46,7 +41,6 @@
 //	           [-j N] [-cache DIR] [-csv] [-metrics]
 //	           [-trace FILE [-trace-sched]] [-faults SPEC] [-heal]
 //	           [-window N] [-agg] [-adaptive] [-overload]
-//	           [-ckpt-dir DIR] [-ckpt-every DUR] [-ckpt-retain K] [-resume]
 package main
 
 import (
@@ -58,7 +52,6 @@ import (
 	"armcivt/internal/faults"
 	"armcivt/internal/figures"
 	"armcivt/internal/obs"
-	"armcivt/internal/sim"
 	"armcivt/internal/stats"
 	"armcivt/internal/sweep"
 )
@@ -84,16 +77,7 @@ func main() {
 	heal := flag.Bool("heal", false, "enable heartbeat membership and topology self-healing (no-op without node: faults)")
 	overload := flag.Bool("overload", false, "enable the overload-protection layer: congestion marking, AIMD injection pacing and the degradation ladder (see docs/OVERLOAD.md)")
 	shards := flag.Int("shards", 1, "conservative-parallel kernel shards per run (1 = serial; results are bit-identical, see docs/PARALLELISM.md)")
-	ckptDir := flag.String("ckpt-dir", "", "mid-run checkpoint + journal directory ('' disables; see docs/CHECKPOINT.md)")
-	ckptEvery := flag.Duration("ckpt-every", 0, "virtual-time capture interval (1ns of wall spec = 1ns virtual; 0 = default 1ms)")
-	ckptRetain := flag.Int("ckpt-retain", 0, "snapshots retained per run (0 = default 3)")
-	resume := flag.Bool("resume", false, "restore runs interrupted mid-flight from their newest snapshot in -ckpt-dir")
 	flag.Parse()
-
-	if *resume && *ckptDir == "" {
-		fmt.Fprintln(os.Stderr, "contention: -resume needs -ckpt-dir")
-		os.Exit(2)
-	}
 
 	if *faultSpec != "" {
 		if _, err := faults.ParseSpec(*faultSpec); err != nil {
@@ -165,8 +149,7 @@ func main() {
 	if *traceFile != "" {
 		tracer = obs.NewTracer()
 	}
-	runner := &sweep.Runner{Workers: *jobs, CacheDir: *cacheDir, Trace: tracer, Shards: *shards,
-		Ckpt: sweep.CkptOptions{Dir: *ckptDir, Every: sim.Time(*ckptEvery), Retain: *ckptRetain, Resume: *resume}}
+	runner := &sweep.Runner{Workers: *jobs, CacheDir: *cacheDir, Trace: tracer, Shards: *shards}
 	if tracer != nil && *traceSched {
 		// The generic executor doesn't know about scheduler slices; run
 		// those through a thin wrapper that switches the flag on.

@@ -19,15 +19,9 @@
 //
 // Usage:
 //
-// A -scale run can additionally checkpoint itself (-ckpt-dir, interval
-// -ckpt-every) and restore an interrupted run (-resume) bit-identically —
-// the fingerprint printed by a resumed run equals the uninterrupted one's
-// (see docs/CHECKPOINT.md).
-//
 //	memscale [-ppn 12] [-procs 768,1536,3072,6144,12288] [-j N] [-csv]
 //	         [-topos fcg,mfcg,cfcg,hypercube,hyperx:8x8x8,...]
 //	memscale -scale N [-shards K] [-measure] [-max-live-mb M] [-json]
-//	         [-ckpt-dir DIR] [-ckpt-every DUR] [-ckpt-retain K] [-resume]
 package main
 
 import (
@@ -39,48 +33,20 @@ import (
 	"strings"
 	"time"
 
-	"armcivt/internal/armci"
-	"armcivt/internal/ckpt"
 	"armcivt/internal/core"
 	"armcivt/internal/figures"
-	"armcivt/internal/sim"
 	"armcivt/internal/stats"
 	"armcivt/internal/sweep"
 )
-
-// scaleCkpt assembles the -scale run's checkpoint arming: snapshots keyed
-// "memscale-<nodes>" in dir, optionally resuming from the newest survivor.
-func scaleCkpt(nodes int, dir string, every time.Duration, retain int, resume bool) (*armci.CkptConfig, error) {
-	if dir == "" {
-		return nil, nil
-	}
-	cfg := &armci.CkptConfig{
-		Dir:    dir,
-		Every:  sim.Time(every),
-		Retain: retain,
-		RunKey: fmt.Sprintf("memscale-%d", nodes),
-	}
-	if resume {
-		_, snap, err := ckpt.Latest(dir, cfg.RunKey)
-		if err != nil {
-			return nil, fmt.Errorf("memscale: loading snapshot: %w", err)
-		}
-		if snap == nil {
-			return nil, fmt.Errorf("memscale: -resume found no %s snapshot in %s", cfg.RunKey, dir)
-		}
-		cfg.Resume = snap
-	}
-	return cfg, nil
-}
 
 // runScalePoint runs one docs/SCALING.md scaling point and reports it,
 // either human-readable or as a row in the BENCH_scale.json shape. With a
 // -max-live-mb ceiling it turns into a CI gate: a live footprint above the
 // ceiling exits nonzero.
-func runScalePoint(nodes, shards int, measure bool, maxLiveMB float64, jsonOut bool, ck *armci.CkptConfig) {
+func runScalePoint(nodes, shards int, measure bool, maxLiveMB float64, jsonOut bool) {
 	t0 := time.Now()
 	res, err := figures.Scale(figures.ScaleConfig{
-		Nodes: nodes, Shards: shards, Measure: measure, Ckpt: ck,
+		Nodes: nodes, Shards: shards, Measure: measure,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -112,15 +78,6 @@ func runScalePoint(nodes, shards int, measure bool, maxLiveMB float64, jsonOut b
 		fmt.Printf("  wall clock     %v\n", wall)
 		fmt.Printf("  virtual time   %v\n", res.VirtualTime)
 		fmt.Printf("  fingerprint    %016x\n", res.Fingerprint)
-		if ck != nil {
-			if ck.Resume != nil {
-				fmt.Printf("  checkpoint     resumed from boundary %d (verified: %v), %d captures after\n",
-					ck.Resume.Index, res.Ckpt.Verified, res.Ckpt.Captures)
-			} else {
-				fmt.Printf("  checkpoint     %d captures (last at boundary %d, %d bytes)\n",
-					res.Ckpt.Captures, res.Ckpt.LastIndex, res.Ckpt.BytesLast)
-			}
-		}
 		fmt.Printf("  analytic RSS   %.1f MB (Fig 5 model, target node)\n", float64(res.MasterRSS)/(1<<20))
 		if measure {
 			fmt.Printf("  allocs/op      %.1f (%d mallocs over the measured phase)\n", res.AllocsPerOp, res.MallocsDelta)
@@ -158,24 +115,11 @@ func main() {
 	measure := flag.Bool("measure", false, "with -scale: record hot-path allocs/op and live bytes (meaningful on the serial kernel only)")
 	maxLiveMB := flag.Float64("max-live-mb", 0, "with -scale -measure: exit nonzero if live bytes exceed this many MB (CI footprint smoke)")
 	jsonOut := flag.Bool("json", false, "with -scale: emit the point as a BENCH_scale.json-shaped row")
-	ckptDir := flag.String("ckpt-dir", "", "with -scale: checkpoint directory ('' disables; see docs/CHECKPOINT.md)")
-	ckptEvery := flag.Duration("ckpt-every", 0, "with -scale: virtual-time capture interval (1ns of wall spec = 1ns virtual; 0 = default 1ms)")
-	ckptRetain := flag.Int("ckpt-retain", 0, "with -scale: snapshots retained (0 = default 3)")
-	resume := flag.Bool("resume", false, "with -scale: restore from the newest snapshot in -ckpt-dir")
 	flag.Parse()
 
 	if *scale > 0 {
-		ck, err := scaleCkpt(*scale, *ckptDir, *ckptEvery, *ckptRetain, *resume)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		runScalePoint(*scale, *shards, *measure, *maxLiveMB, *jsonOut, ck)
+		runScalePoint(*scale, *shards, *measure, *maxLiveMB, *jsonOut)
 		return
-	}
-	if *resume || *ckptDir != "" {
-		fmt.Fprintln(os.Stderr, "memscale: -ckpt-dir/-resume apply to -scale runs only (the Fig 5 table is analytic)")
-		os.Exit(2)
 	}
 
 	procs, err := parseInts(*procsFlag)

@@ -181,14 +181,6 @@ type Config struct {
 	// OverloadConfig and docs/OVERLOAD.md.
 	Overload OverloadConfig
 
-	// Ckpt, when non-nil, arms periodic checkpointing: at every virtual-time
-	// boundary k*Ckpt.Every the engine quiesces and the runtime captures a
-	// verified replay-cursor snapshot (docs/CHECKPOINT.md). Captures are
-	// passive — an armed run is bit-identical to an unarmed one — so the
-	// option does not participate in sweep cache keys. Nil (the default)
-	// costs nothing.
-	Ckpt *CkptConfig
-
 	// Metrics, when non-nil, enables the observability layer: the runtime
 	// records credit-pool wait times, CHT inbox depths and per-node CHT
 	// activity during the run (and instruments the fabric with the same
@@ -571,17 +563,6 @@ func (c Config) Validate() error {
 	if c.Topology != nil && c.Topology.Nodes() != c.Nodes {
 		return fmt.Errorf("armci: topology covers %d nodes, runtime has %d", c.Topology.Nodes(), c.Nodes)
 	}
-	if c.Ckpt != nil {
-		if c.Ckpt.Every < 0 {
-			return fmt.Errorf("armci: Ckpt.Every must not be negative, got %v", c.Ckpt.Every)
-		}
-		if c.Ckpt.Retain < 0 {
-			return fmt.Errorf("armci: Ckpt.Retain must not be negative, got %d", c.Ckpt.Retain)
-		}
-		if c.Ckpt.KillAtIndex < 0 {
-			return fmt.Errorf("armci: Ckpt.KillAtIndex must not be negative, got %d", c.Ckpt.KillAtIndex)
-		}
-	}
 	return nil
 }
 
@@ -712,25 +693,6 @@ func (c Config) withDefaults() (Config, error) {
 		if c.Heal.SuspicionTimeout == 0 {
 			c.Heal.SuspicionTimeout = DefaultSuspicionTimeout
 		}
-	}
-	if c.Ckpt != nil {
-		// Copy before defaulting so a caller-shared CkptConfig is not mutated.
-		ck := *c.Ckpt
-		if ck.Resume != nil {
-			// A resumed run must capture on the captured run's grid, or the
-			// replay cursor could never line up with the snapshot.
-			ck.Every = sim.Time(ck.Resume.Every)
-		}
-		if ck.Every == 0 {
-			ck.Every = DefaultCkptEvery
-		}
-		if ck.Retain == 0 {
-			ck.Retain = DefaultCkptRetain
-		}
-		if ck.RunKey == "" {
-			ck.RunKey = "run"
-		}
-		c.Ckpt = &ck
 	}
 	if c.Adaptive.Enabled {
 		pool := c.PPN * c.BufsPerProc

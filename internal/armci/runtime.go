@@ -53,9 +53,9 @@ type Runtime struct {
 	// faultInj mirrors Config.Faults (nil when fault injection is off).
 	faultInj *faults.Injector
 
-	// ckpt drives periodic checkpoint capture and resume verification (nil
-	// unless Config.Ckpt is set); see ckpt.go and docs/CHECKPOINT.md.
-	ckpt *ckptState
+	// digests holds the per-boundary layer digests (RecordDigests; see
+	// digest.go and docs/PARALLELISM.md).
+	digests []Digest
 
 	// healArmed is true when Config.Heal.Enabled is set AND the fault
 	// schedule contains node: faults — the only condition under which the
@@ -391,9 +391,6 @@ func New(eng *sim.Engine, cfg Config) (*Runtime, error) {
 	rt.collInit()
 	if cfg.Metrics != nil || cfg.Trace != nil {
 		rt.obs = newObsState(rt)
-	}
-	if cfg.Ckpt != nil {
-		rt.armCkpt()
 	}
 	return rt, nil
 }

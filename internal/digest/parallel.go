@@ -1,4 +1,4 @@
-package ckpt
+package digest
 
 import (
 	"runtime"
@@ -9,7 +9,7 @@ import (
 // parallelMixChunk is the fixed item count each concurrently-hashed chunk
 // covers. It is part of the digest definition — the chunk boundaries decide
 // which items share a running hash — so it must never depend on the machine
-// (core count, GOMAXPROCS): capture and replay verification must digest
+// (core count, GOMAXPROCS): two runs being compared must digest
 // identical byte streams on any host.
 const parallelMixChunk = 4096
 
@@ -17,7 +17,7 @@ const parallelMixChunk = 4096
 // folding the per-chunk digests in chunk order, so the result is
 // deterministic and independent of worker count while the heavy per-item
 // work spreads across cores. fn must return the digest of items [lo, hi)
-// starting from MixInit, reading shared state only — captures run at a
+// starting from MixInit, reading shared state only — digests run at a
 // quiescent boundary with every shard parked, so concurrent reads are safe.
 // Small inputs are hashed inline: the goroutine fan-out only pays for itself
 // on the O(nodes) arena loops at large scale.

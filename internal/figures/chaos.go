@@ -5,8 +5,8 @@ import (
 	"math/rand"
 
 	"armcivt/internal/armci"
-	"armcivt/internal/ckpt"
 	"armcivt/internal/core"
+	"armcivt/internal/digest"
 	"armcivt/internal/faults"
 	"armcivt/internal/obs"
 	"armcivt/internal/sim"
@@ -72,11 +72,6 @@ type ChaosConfig struct {
 	// Trace is set.
 	Shards int
 
-	// Ckpt arms periodic checkpointing on the run (armci.Config.Ckpt). The
-	// kill-and-resume harness (figures.Recover) drives chaos runs through
-	// capture, in-process kill, and verified resume with it.
-	Ckpt *armci.CkptConfig
-
 	// Metrics/Trace/TracePID attach observability exactly as in
 	// ContentionConfig.
 	Metrics  *obs.Registry
@@ -101,11 +96,13 @@ type ChaosResult struct {
 	Stats       armci.Stats
 	// Fingerprint folds the per-rank ledgers, the per-rank outcome counters
 	// and the final clock into one value: two runs with equal fingerprints
-	// finished in the same end-to-end state. It is the oracle the
-	// kill-and-resume harness compares resumed runs against.
+	// finished in the same end-to-end state.
 	Fingerprint uint64
-	// Ckpt reports what the checkpoint layer did (zero unless Ckpt was set).
-	Ckpt armci.CkptStatus
+	// Digests are every layer's state digests at each armci.DigestEvery
+	// boundary of the run. Recording is passive, so they are equal at every
+	// shard count; armci.FirstDivergence names the first boundary and layer
+	// where two runs split when their fingerprints differ.
+	Digests []armci.Digest
 }
 
 func (c ChaosConfig) withDefaults() ChaosConfig {
@@ -167,7 +164,6 @@ func Chaos(c ChaosConfig) (*ChaosResult, error) {
 	cfg.Faults = inj
 	cfg.Heal.Enabled = c.Heal
 	cfg.Overload.Enabled = c.Overload
-	cfg.Ckpt = c.Ckpt
 	// Fast retry constants scaled to the horizon. The doubling retries from
 	// 200us put attempts at +200us/600us/1.4ms/3ms after issue — the last
 	// two comfortably past worst-case detection (2*SuspicionTimeout +
@@ -203,6 +199,7 @@ func Chaos(c ChaosConfig) (*ChaosResult, error) {
 		return nil, err
 	}
 	defer rt.Shutdown()
+	rt.RecordDigests()
 
 	n := rt.NRanks()
 	rt.Alloc("chaos", 8*n)
@@ -255,7 +252,7 @@ func Chaos(c ChaosConfig) (*ChaosResult, error) {
 	}
 	rt.FillMetrics()
 
-	res := &ChaosResult{Victims: victims, Elapsed: eng.Now(), Stats: rt.Stats()}
+	res := &ChaosResult{Victims: victims, Elapsed: eng.Now(), Stats: rt.Stats(), Digests: rt.Digests()}
 	for _, p := range partitioned {
 		res.Partitioned += p
 	}
@@ -312,19 +309,18 @@ func Chaos(c ChaosConfig) (*ChaosResult, error) {
 	}
 	// The ledger fingerprint: every rank's outcome counters plus the full
 	// applied matrix plus the final clock. This is the bit-identity oracle —
-	// a resumed run must reproduce it exactly (figures.Recover).
-	h := ckpt.MixInit
+	// every shard count must reproduce it exactly.
+	h := digest.MixInit
 	for o := 0; o < n; o++ {
-		h = ckpt.Mix(h, uint64(issued[o]))
-		h = ckpt.Mix(h, uint64(completed[o]))
-		h = ckpt.Mix(h, uint64(failed[o]))
-		h = ckpt.Mix(h, uint64(partitioned[o]))
+		h = digest.Mix(h, uint64(issued[o]))
+		h = digest.Mix(h, uint64(completed[o]))
+		h = digest.Mix(h, uint64(failed[o]))
+		h = digest.Mix(h, uint64(partitioned[o]))
 		for t := 0; t < n; t++ {
-			h = ckpt.MixF64(h, armci.GetFloat64(rt.Memory(t, "chaos"), 8*o))
+			h = digest.MixF64(h, armci.GetFloat64(rt.Memory(t, "chaos"), 8*o))
 		}
 	}
-	h = ckpt.Mix(h, uint64(res.Elapsed))
+	h = digest.Mix(h, uint64(res.Elapsed))
 	res.Fingerprint = h
-	res.Ckpt = rt.CkptStatus()
 	return res, nil
 }

@@ -90,10 +90,6 @@ type ContentionConfig struct {
 	// observation tool), which by the same contract changes nothing.
 	Shards int
 
-	// Ckpt arms periodic checkpointing on the run (armci.Config.Ckpt);
-	// captures are passive, so results are bit-identical either way.
-	Ckpt *armci.CkptConfig
-
 	// Metrics, when non-nil, collects the run's observability counters,
 	// gauges and histograms (see docs/OBSERVABILITY.md). Use a fresh
 	// registry per run: metric names carry no topology label, so sharing
@@ -175,7 +171,6 @@ func Contention(c ContentionConfig) (*stats.Series, error) {
 		cfg.Shards = 1
 	}
 	cfg.Heal.Enabled = c.Heal
-	cfg.Ckpt = c.Ckpt
 	cfg.Metrics = c.Metrics
 	cfg.Trace = c.Trace
 	cfg.TracePID = c.TracePID

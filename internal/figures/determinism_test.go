@@ -75,7 +75,7 @@ func TestChaosShardDeterminism(t *testing.T) {
 	for _, kind := range core.Kinds {
 		for _, heal := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%v/heal=%v", kind, heal), func(t *testing.T) {
-				var base string
+				var base *ChaosResult
 				for _, shards := range shardCounts {
 					res, err := Chaos(ChaosConfig{
 						Kind: kind, Nodes: 32, PPN: 2, Heal: heal, Shards: shards,
@@ -85,11 +85,10 @@ func TestChaosShardDeterminism(t *testing.T) {
 					}
 					// Compare the ledger tallies AND the full merged stats
 					// block: timeouts, retries, heals, detection latencies.
-					got := fmt.Sprintf("%+v", *res)
-					if shards == shardCounts[0] {
-						base = got
-					} else if got != base {
-						t.Fatalf("shards=%d diverges from serial:\n%s\nvs\n%s", shards, got, base)
+					if base == nil {
+						base = res
+					} else {
+						requireSameChaos(t, fmt.Sprintf("shards=%d", shards), base, res)
 					}
 				}
 			})

@@ -62,7 +62,7 @@ func TestFamilyChaos(t *testing.T) {
 		}
 		for _, heal := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/heal=%v", specStr, heal), func(t *testing.T) {
-				var base string
+				var base *ChaosResult
 				for _, shards := range shardCounts {
 					res, err := Chaos(ChaosConfig{
 						Topo: spec, Nodes: 32, PPN: 2, Heal: heal, Shards: shards,
@@ -70,11 +70,10 @@ func TestFamilyChaos(t *testing.T) {
 					if err != nil {
 						t.Fatalf("shards=%d: %v", shards, err)
 					}
-					got := fmt.Sprintf("%+v", *res)
-					if shards == shardCounts[0] {
-						base = got
-					} else if got != base {
-						t.Fatalf("shards=%d diverges from serial:\n%s\nvs\n%s", shards, got, base)
+					if base == nil {
+						base = res
+					} else {
+						requireSameChaos(t, fmt.Sprintf("shards=%d", shards), base, res)
 					}
 				}
 			})

@@ -3,10 +3,10 @@ package sim
 import (
 	"sort"
 
-	"armcivt/internal/ckpt"
+	"armcivt/internal/digest"
 )
 
-// ConfigureCheckpoints arms periodic checkpoint callbacks: fn fires in
+// ConfigureDigests arms periodic digest callbacks: fn fires in
 // coordinator context at every virtual-time boundary k*every (k >= 1) the run
 // passes, at the first moment the next pending event's time exceeds the
 // boundary. That moment is quiescent by construction — every event at or
@@ -17,64 +17,64 @@ import (
 //
 // The callback is passive: it must not schedule events, spawn processes, or
 // draw from the engine RNG (it may call Halt). Under that contract an armed
-// run is bit-identical to an unarmed one, which is what makes captures
-// verifiable against a deterministic replay (docs/CHECKPOINT.md).
+// run is bit-identical to an unarmed one, so digests taken by two runs can be
+// compared boundary by boundary (docs/PARALLELISM.md).
 //
 // When several boundaries fall inside one event gap, fn fires once, at the
 // latest boundary passed. Must be called before Run.
-func (e *Engine) ConfigureCheckpoints(every Time, fn func(at Time, index int64)) {
+func (e *Engine) ConfigureDigests(every Time, fn func(at Time, index int64)) {
 	if e.running {
-		panic("sim: ConfigureCheckpoints while engine is running")
+		panic("sim: ConfigureDigests while engine is running")
 	}
 	if every <= 0 {
-		panic("sim: checkpoint interval must be positive")
+		panic("sim: digest interval must be positive")
 	}
 	if fn == nil {
-		panic("sim: nil checkpoint callback")
+		panic("sim: nil digest callback")
 	}
-	e.ckEvery = every
-	e.ckNext = 1
-	e.ckFn = fn
+	e.dgEvery = every
+	e.dgNext = 1
+	e.dgFn = fn
 }
 
-// fireCheckpoints fires the checkpoint callback if advancing to tNext (the
+// fireDigests fires the digest callback if advancing to tNext (the
 // next event time, or limit+1 when the horizon cuts first) crosses one or
 // more unfired boundaries. Strictly-greater semantics: events at exactly the
-// boundary run before the capture, in both serial and sharded mode.
-func (e *Engine) fireCheckpoints(tNext Time) {
-	if e.ckFn == nil || tNext <= 0 {
+// boundary run before the callback, in both serial and sharded mode.
+func (e *Engine) fireDigests(tNext Time) {
+	if e.dgFn == nil || tNext <= 0 {
 		return
 	}
-	kMax := (int64(tNext) - 1) / int64(e.ckEvery)
-	if kMax < e.ckNext {
+	kMax := (int64(tNext) - 1) / int64(e.dgEvery)
+	if kMax < e.dgNext {
 		return
 	}
-	at := Time(kMax * int64(e.ckEvery))
+	at := Time(kMax * int64(e.dgEvery))
 	prevOwner := e.ctxOwner
 	e.ctxOwner = GlobalOwner
 	if e.now < at {
 		e.now = at
 	}
-	e.ckFn(at, kMax)
+	e.dgFn(at, kMax)
 	e.ctxOwner = prevOwner
-	e.ckNext = kMax + 1
+	e.dgNext = kMax + 1
 }
 
-// CheckpointSection digests the kernel's state at a quiescent boundary into a
+// DigestSection digests the kernel's state at a quiescent boundary into a
 // byte-comparable section: per-origin seq counters, progress counters, the
 // full pending-event set in key order, process lifecycle state, and the RNG
 // position (seed, draws). Two runs of the same workload are at the same
 // kernel state iff the sections compare equal byte-for-byte — regardless of
 // shard count, which is why lane clocks and e.now stay out of the digest
 // (they are window bookkeeping, not simulation state).
-func (e *Engine) CheckpointSection() []byte {
-	var enc ckpt.Enc
+func (e *Engine) DigestSection() []byte {
+	var enc digest.Enc
 
 	enc.Str("seqs")
 	enc.U32(uint32(len(e.seqs)))
-	h := ckpt.MixInit
+	h := digest.MixInit
 	for _, s := range e.seqs {
-		h = ckpt.Mix(h, s)
+		h = digest.Mix(h, s)
 	}
 	enc.U64(h)
 
@@ -94,24 +94,24 @@ func (e *Engine) CheckpointSection() []byte {
 	sort.Slice(pending, func(i, j int) bool { return keyLess(pending[i], pending[j]) })
 	enc.Str("events")
 	enc.U32(uint32(len(pending)))
-	h = ckpt.MixInit
+	h = digest.MixInit
 	for i := range pending {
 		ev := &pending[i]
-		h = ckpt.Mix(h, uint64(ev.t))
-		h = ckpt.Mix(h, ev.seq)
-		h = ckpt.Mix(h, uint64(uint32(ev.origin)))
-		h = ckpt.Mix(h, uint64(uint32(ev.owner)))
-		h = ckpt.Mix(h, uint64(ev.kind))
+		h = digest.Mix(h, uint64(ev.t))
+		h = digest.Mix(h, ev.seq)
+		h = digest.Mix(h, uint64(uint32(ev.origin)))
+		h = digest.Mix(h, uint64(uint32(ev.owner)))
+		h = digest.Mix(h, uint64(ev.kind))
 	}
 	enc.U64(h)
 
 	enc.Str("procs")
 	enc.U32(uint32(len(e.procs)))
-	h = ckpt.MixInit
+	h = digest.MixInit
 	for _, p := range e.procs {
-		h = ckpt.Mix(h, uint64(p.id))
-		h = ckpt.Mix(h, uint64(p.state))
-		h = ckpt.Mix(h, uint64(uint32(int32(p.owner))))
+		h = digest.Mix(h, uint64(p.id))
+		h = digest.Mix(h, uint64(p.state))
+		h = digest.Mix(h, uint64(uint32(int32(p.owner))))
 		var flags uint64
 		if p.daemon {
 			flags |= 1
@@ -119,7 +119,7 @@ func (e *Engine) CheckpointSection() []byte {
 		if p.wakePending {
 			flags |= 2
 		}
-		h = ckpt.Mix(h, flags)
+		h = digest.Mix(h, flags)
 	}
 	enc.U64(h)
 

@@ -9,12 +9,11 @@ import (
 	"testing"
 )
 
-// ckptPingWorkload is shardPingWorkload with checkpoints armed: it records
+// digestPingWorkload is shardPingWorkload with digests armed: it records
 // every (at, index, section) the callback observes alongside the workload's
-// own event logs. The capture sequence and every digest must be bit-identical
-// at every shard count — that is the checkpoint extension of the kernel's
-// determinism contract.
-func ckptPingWorkload(t *testing.T, shards int, every Time) ([][]string, []string, Time) {
+// own event logs. The digest sequence must be bit-identical at every shard
+// count — that is the digest extension of the kernel's determinism contract.
+func digestPingWorkload(t *testing.T, shards int, every Time) ([][]string, []string, Time) {
 	t.Helper()
 	const (
 		owners    = 8
@@ -24,9 +23,9 @@ func ckptPingWorkload(t *testing.T, shards int, every Time) ([][]string, []strin
 	eng := New()
 	eng.ConfigureShards(shards, owners, func(pos int) int { return pos * shards / owners }, lookahead)
 
-	var captures []string
-	eng.ConfigureCheckpoints(every, func(at Time, index int64) {
-		captures = append(captures, fmt.Sprintf("%d@%d:%x", index, at, eng.CheckpointSection()))
+	var digests []string
+	eng.ConfigureDigests(every, func(at Time, index int64) {
+		digests = append(digests, fmt.Sprintf("%d@%d:%x", index, at, eng.DigestSection()))
 	})
 
 	logs := make([][]string, owners)
@@ -65,20 +64,20 @@ func ckptPingWorkload(t *testing.T, shards int, every Time) ([][]string, []strin
 		t.Fatalf("shards=%d: %v", shards, err)
 	}
 	eng.Shutdown()
-	return logs, captures, eng.Now()
+	return logs, digests, eng.Now()
 }
 
-// The headline kernel property: arming checkpoints changes nothing about the
-// run, and the captured (index, at, digest) stream is identical at every
+// The headline kernel property: arming digests changes nothing about the
+// run, and the recorded (index, at, digest) stream is identical at every
 // shard count.
-func TestCheckpointCapturesBitIdenticalAcrossShards(t *testing.T) {
+func TestDigestsBitIdenticalAcrossShards(t *testing.T) {
 	for _, every := range []Time{64, 100, 333} {
-		baseLogs, baseCaps, baseEnd := ckptPingWorkload(t, 1, every)
+		baseLogs, baseCaps, baseEnd := digestPingWorkload(t, 1, every)
 		if len(baseCaps) == 0 {
-			t.Fatalf("every=%d: no captures fired", every)
+			t.Fatalf("every=%d: no digests fired", every)
 		}
 		for _, shards := range []int{2, 3, 8} {
-			logs, caps, end := ckptPingWorkload(t, shards, every)
+			logs, caps, end := digestPingWorkload(t, shards, every)
 			if end != baseEnd {
 				t.Errorf("every=%d shards=%d: final clock %v, serial %v", every, shards, end, baseEnd)
 			}
@@ -86,32 +85,32 @@ func TestCheckpointCapturesBitIdenticalAcrossShards(t *testing.T) {
 				t.Errorf("every=%d shards=%d: event logs diverge from serial", every, shards)
 			}
 			if !reflect.DeepEqual(caps, baseCaps) {
-				t.Errorf("every=%d shards=%d: capture stream diverges from serial\nserial:  %v\nsharded: %v",
+				t.Errorf("every=%d shards=%d: digest stream diverges from serial\nserial:  %v\nsharded: %v",
 					every, shards, caps, baseCaps)
 			}
 		}
 	}
 }
 
-// Arming checkpoints must not perturb the workload: an armed serial run's
+// Arming digests must not perturb the workload: an armed serial run's
 // event logs equal the unarmed baseline from shardPingWorkload.
-func TestArmedRunMatchesUnarmed(t *testing.T) {
+func TestDigestArmedRunMatchesUnarmed(t *testing.T) {
 	unarmed, unarmedEnd := shardPingWorkload(t, 1)
-	armed, _, armedEnd := ckptPingWorkload(t, 1, 100)
+	armed, _, armedEnd := digestPingWorkload(t, 1, 100)
 	if armedEnd != unarmedEnd || !reflect.DeepEqual(armed, unarmed) {
-		t.Fatal("arming checkpoints perturbed the run")
+		t.Fatal("arming digests perturbed the run")
 	}
 }
 
-// Boundary semantics: events at exactly k*every execute before the capture at
+// Boundary semantics: events at exactly k*every execute before the digest at
 // k*every; a gap spanning several boundaries fires once at the latest.
-func TestCheckpointBoundarySemantics(t *testing.T) {
+func TestDigestBoundarySemantics(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		eng := New()
 		eng.ConfigureShards(shards, 2, func(pos int) int { return pos % shards }, 10)
 		var trace []string
-		eng.ConfigureCheckpoints(100, func(at Time, index int64) {
-			trace = append(trace, fmt.Sprintf("ck %d@%d", index, at))
+		eng.ConfigureDigests(100, func(at Time, index int64) {
+			trace = append(trace, fmt.Sprintf("dg %d@%d", index, at))
 		})
 		for _, at := range []Time{100, 150, 500} {
 			at := at
@@ -121,23 +120,23 @@ func TestCheckpointBoundarySemantics(t *testing.T) {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		eng.Shutdown()
-		// The event at exactly 100 precedes capture 1; the 150→500 gap fires
+		// The event at exactly 100 precedes digest 1; the 150→500 gap fires
 		// nothing (500's boundary is index 4, fired only once 500 executes and
 		// the queue drains — no later event, so no fire past it either).
-		want := []string{"ev@100", "ck 1@100", "ev@150", "ck 4@400", "ev@500"}
+		want := []string{"ev@100", "dg 1@100", "ev@150", "dg 4@400", "ev@500"}
 		if !reflect.DeepEqual(trace, want) {
 			t.Fatalf("shards=%d: trace %v, want %v", shards, trace, want)
 		}
 	}
 }
 
-// Halt from inside the capture callback stops the run before the next event —
-// the mechanism the kill-and-resume harness uses for in-process SIGKILL.
-func TestCheckpointCallbackMayHalt(t *testing.T) {
+// Halt from inside the digest callback stops the run before the next event,
+// so a caller may stop a run at the first boundary it finds suspect.
+func TestDigestCallbackMayHalt(t *testing.T) {
 	eng := New()
 	errStop := errors.New("stop")
 	fired := 0
-	eng.ConfigureCheckpoints(100, func(at Time, index int64) {
+	eng.ConfigureDigests(100, func(at Time, index int64) {
 		fired++
 		eng.Halt(errStop)
 	})
@@ -149,7 +148,7 @@ func TestCheckpointCallbackMayHalt(t *testing.T) {
 		t.Fatalf("Run returned %v, want halt error", err)
 	}
 	if fired != 1 || ran != 1 {
-		t.Fatalf("fired=%d ran=%d, want 1 capture after 1 event", fired, ran)
+		t.Fatalf("fired=%d ran=%d, want 1 digest after 1 event", fired, ran)
 	}
 	eng.Shutdown()
 }
@@ -182,19 +181,19 @@ func TestCountingSourcePreservesStream(t *testing.T) {
 	b.Seed(7)
 	a.Rand().Int63()
 	b.Rand().Int63()
-	if !bytes.Equal(a.CheckpointSection(), b.CheckpointSection()) {
+	if !bytes.Equal(a.DigestSection(), b.DigestSection()) {
 		t.Fatal("equal draw counts digest differently")
 	}
 	b.Rand().Int63()
-	if bytes.Equal(a.CheckpointSection(), b.CheckpointSection()) {
+	if bytes.Equal(a.DigestSection(), b.DigestSection()) {
 		t.Fatal("extra draw not visible in digest")
 	}
 }
 
-func TestConfigureCheckpointsValidation(t *testing.T) {
+func TestConfigureDigestsValidation(t *testing.T) {
 	for name, fn := range map[string]func(e *Engine){
-		"zero interval": func(e *Engine) { e.ConfigureCheckpoints(0, func(Time, int64) {}) },
-		"nil callback":  func(e *Engine) { e.ConfigureCheckpoints(100, nil) },
+		"zero interval": func(e *Engine) { e.ConfigureDigests(0, func(Time, int64) {}) },
+		"nil callback":  func(e *Engine) { e.ConfigureDigests(100, nil) },
 	} {
 		func() {
 			defer func() {

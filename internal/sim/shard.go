@@ -249,14 +249,14 @@ func (e *Engine) runSharded(limit Time) error {
 		if t == maxTime {
 			break
 		}
-		if e.ckFn != nil {
+		if e.dgFn != nil {
 			// Loop top is the sharded quiescent point: no window open,
 			// outboxes merged, every event before t executed.
 			tEff := t
 			if limit >= 0 && limit+1 < tEff {
 				tEff = limit + 1
 			}
-			e.fireCheckpoints(tEff)
+			e.fireDigests(tEff)
 			if e.halt != nil {
 				return e.halt
 			}
@@ -276,12 +276,12 @@ func (e *Engine) runSharded(limit Time) error {
 		if limit >= 0 && end > limit+1 {
 			end = limit + 1
 		}
-		if e.ckFn != nil {
+		if e.dgFn != nil {
 			// Never let a window span an unfired boundary: events at exactly
-			// the boundary must execute before the capture, as in serial mode.
-			// After fireCheckpoints above, ckNext*ckEvery >= t, so the clamp
+			// the boundary must execute before the digest, as in serial mode.
+			// After fireDigests above, dgNext*dgEvery >= t, so the clamp
 			// keeps end > t and the window non-empty.
-			if b := Time(e.ckNext * int64(e.ckEvery)); end > b+1 {
+			if b := Time(e.dgNext * int64(e.dgEvery)); end > b+1 {
 				end = b + 1
 			}
 		}

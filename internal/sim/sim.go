@@ -262,24 +262,24 @@ type Engine struct {
 	halt error
 
 	// rngSrc wraps the RNG's source to count draws, and rngSeed remembers
-	// the seed, so CheckpointSection can digest the generator's position
+	// the seed, so DigestSection can digest the generator's position
 	// (seed, draws) without serializing its internal state.
 	rngSrc  *countingSource
 	rngSeed int64
 
-	// Checkpoint hooks (ConfigureCheckpoints): ckFn fires at every capture
-	// boundary k*ckEvery (k >= ckNext) the run loop passes — the first
+	// Digest hooks (ConfigureDigests): dgFn fires at every digest
+	// boundary k*dgEvery (k >= dgNext) the run loop passes — the first
 	// moment the next pending event's time exceeds the boundary, which is
 	// by construction a quiescent point: all events at or before the
 	// boundary have executed, no window is open, outboxes are empty.
-	ckEvery Time
-	ckNext  int64
-	ckFn    func(at Time, index int64)
+	dgEvery Time
+	dgNext  int64
+	dgFn    func(at Time, index int64)
 
 	shardState
 }
 
-// countingSource wraps a rand.Source64 and counts draws. Capture needs only
+// countingSource wraps a rand.Source64 and counts draws. A digest needs only
 // (seed, draws) to identify the generator's position: both run modes draw in
 // the same deterministic order, so equal counts at a quiescent boundary mean
 // equal generator state.
@@ -734,12 +734,12 @@ func (e *Engine) run(limit Time) error {
 		if e.halt != nil {
 			return e.halt
 		}
-		if e.ckFn != nil {
+		if e.dgFn != nil {
 			tEff := e.events.peek().t
 			if limit >= 0 && limit+1 < tEff {
 				tEff = limit + 1
 			}
-			e.fireCheckpoints(tEff)
+			e.fireDigests(tEff)
 			if e.halt != nil {
 				return e.halt
 			}

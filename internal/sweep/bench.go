@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"armcivt/internal/ckpt"
 	"armcivt/internal/stats"
 )
 
@@ -69,15 +68,15 @@ func NewBench(grid string, results []Result, st Stats) *Bench {
 	return b
 }
 
-// Write stores the record as indented JSON at path, atomically via the
-// shared write-then-rename helper so an interrupted regeneration can never
+// Write stores the record as indented JSON at path, atomically via
+// WriteFileAtomic so an interrupted regeneration can never
 // leave a torn record behind.
 func (b *Bench) Write(path string) error {
 	data, err := json.MarshalIndent(b, "", "  ")
 	if err != nil {
 		return err
 	}
-	return ckpt.WriteFileAtomic(path, append(data, '\n'), 0o644)
+	return WriteFileAtomic(path, append(data, '\n'), 0o644)
 }
 
 // groupKey buckets results that belong in the same merged table: everything
