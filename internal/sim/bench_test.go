@@ -66,3 +66,24 @@ func BenchmarkProcessPingPong(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkSpawnPark measures the fixed per-process cost a large run pays
+// outside its steady state: spawn 65,536 processes, run each to its first
+// park on a queue, then unwind them all with Shutdown. ns/proc is ns/op
+// divided by the process count.
+func BenchmarkSpawnPark(b *testing.B) {
+	const procs = 1 << 16
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e := New()
+		q := NewQueue[int](e, "never")
+		for j := 0; j < procs; j++ {
+			e.SpawnDaemon("p", func(p *Proc) { q.Get(p) })
+		}
+		if err := e.Run(); err != nil {
+			b.Fatal(err)
+		}
+		e.Shutdown()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*procs), "ns/proc")
+}

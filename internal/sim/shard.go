@@ -32,10 +32,10 @@ import (
 // maxTime is the sentinel "no pending event" timestamp.
 const maxTime = Time(math.MaxInt64)
 
-// lane is one shard's execution context: a private event heap, clock, and
-// cooperative-scheduling channel pair, plus outboxes for events leaving the
-// shard. Only its worker goroutine touches these fields during a window;
-// the coordinator touches them only while the worker is quiesced.
+// lane is one shard's execution context: a private event heap and clock,
+// plus outboxes for events leaving the shard. Only its worker goroutine
+// touches these fields during a window; the coordinator touches them only
+// while the worker is quiesced.
 type lane struct {
 	e   *Engine
 	idx int
@@ -49,9 +49,6 @@ type lane struct {
 	end Time
 	// ctxOwner is the owner of the event currently executing on this lane.
 	ctxOwner int
-	current  *Proc
-	// parked receives control back from a process this lane resumed.
-	parked chan struct{}
 	// dispatch carries the window edge from the coordinator to the worker.
 	dispatch chan Time
 	// outCross[d] buffers events created on this lane for shard d.
@@ -61,6 +58,8 @@ type lane struct {
 	// resumes/executed are folded into the engine totals at each barrier.
 	resumes  uint64
 	executed uint64
+	// panicked is a panic recovered in the last window; runWindow re-raises it.
+	panicked any
 }
 
 // shardState is the engine's sharding extension, embedded in Engine.
@@ -159,7 +158,6 @@ func (e *Engine) ConfigureShards(shards, owners int, shardOf func(owner int) int
 			e:        e,
 			idx:      i,
 			ctxOwner: GlobalOwner,
-			parked:   make(chan struct{}),
 			dispatch: make(chan Time),
 			outCross: make([][]event, shards),
 		}
@@ -210,16 +208,25 @@ func (e *Engine) stopWorkers() {
 // dispatched window edge, then reports back to the coordinator.
 func (ln *lane) work() {
 	for end := range ln.dispatch {
-		for ln.heap.Len() > 0 && ln.heap[0].t < end {
-			ev := ln.heap.popEvent()
-			ln.now = ev.t
-			ln.ctxOwner = int(ev.owner)
-			ln.executed++
-			ln.e.exec(&ev)
-		}
+		ln.panicked = ln.drain(end)
 		ln.ctxOwner = GlobalOwner
 		ln.e.laneDone <- ln
 	}
+}
+
+// drain executes the shard's events below end. A panic — typically from a
+// process body this lane resumed — is recovered and returned, so the lane
+// still reports back and the coordinator re-raises it.
+func (ln *lane) drain(end Time) (panicked any) {
+	defer func() { panicked = recover() }()
+	for ln.heap.Len() > 0 && ln.heap[0].t < end {
+		ev := ln.heap.popEvent()
+		ln.now = ev.t
+		ln.ctxOwner = int(ev.owner)
+		ln.executed++
+		ln.e.exec(&ev)
+	}
+	return nil
 }
 
 // nextTimes returns the earliest pending timestamps on the global lane and
@@ -346,6 +353,12 @@ func (e *Engine) runWindow(end Time) {
 		<-e.laneDone
 	}
 	e.windowActive.Store(false)
+	for _, ln := range e.lanes {
+		if r := ln.panicked; r != nil {
+			ln.panicked = nil
+			panic(r)
+		}
+	}
 	for _, ln := range e.lanes {
 		e.resumes += ln.resumes
 		ln.resumes = 0

@@ -1,10 +1,11 @@
 // Package sim implements a deterministic, process-oriented discrete-event
 // simulation kernel.
 //
-// Simulated processes are goroutines that are cooperatively scheduled by the
-// Engine: in serial mode exactly one goroutine (either the engine's Run loop
-// or a single process) executes at any moment, and control is handed over
-// explicitly at blocking points (Sleep, Queue.Get, Resource.Acquire, ...).
+// Simulated processes are runtime coroutines (iter.Pull, see proc.go): a
+// runner resumes one by switching it onto the runner's own thread, and the
+// process hands control back at blocking points (Sleep, Queue.Get,
+// Resource.Acquire, ...). In serial mode exactly one of them — the Run loop
+// or a single process — executes at any moment.
 //
 // Events are ordered by the three-part key (time, seq, origin), where origin
 // is the owner id of the context that created the event and seq is a
@@ -159,77 +160,6 @@ func (h *eventHeap) popEvent() event {
 	return top
 }
 
-// procState tracks the lifecycle of a simulated process.
-type procState int
-
-const (
-	procNew procState = iota
-	procRunning
-	procBlocked
-	procDone
-)
-
-// Proc is a simulated process. All methods must be called from within the
-// process's own body function; they are not safe to call from other
-// goroutines or from engine-context callbacks.
-type Proc struct {
-	e      *Engine
-	id     int
-	name   string
-	resume chan struct{}
-	// parkedTo is the channel of whichever runner (coordinator or shard
-	// worker) last resumed the process; park and the exit path signal it to
-	// hand control back.
-	parkedTo chan struct{}
-	state    procState
-	// blockedOn is the static blocking-point label (cold paths); hot-path
-	// primitives park with a lazy blocker+blockArg pair instead, so a park
-	// formats no string unless a deadlock report or tracer reads one.
-	blockedOn   string
-	blockedAt   blocker
-	blockArg    int64
-	daemon      bool
-	wakePending bool
-	killed      bool
-	// owner pins the process to a scheduling owner: its resume events carry
-	// this owner, so in sharded mode the process always runs on the owner's
-	// shard (or on the coordinator during serial instants).
-	owner int
-}
-
-// Name returns the name the process was spawned with.
-func (p *Proc) Name() string { return p.name }
-
-// ID returns the process's spawn-order identifier.
-func (p *Proc) ID() int { return p.id }
-
-// Engine returns the engine this process runs under.
-func (p *Proc) Engine() *Engine { return p.e }
-
-// Owner returns the scheduling owner the process is pinned to
-// (GlobalOwner if it was spawned without one).
-func (p *Proc) Owner() int { return p.owner }
-
-// Now returns the current virtual time in the process's context.
-func (p *Proc) Now() Time { return p.e.NowOn(p.owner) }
-
-// BlockedOn reports the label of the blocking point the process is currently
-// parked at ("" if running or done). Used by the deadlock reporter.
-func (p *Proc) BlockedOn() string {
-	if p.blockedAt != nil {
-		return p.blockedAt.blockLabel(p.blockArg)
-	}
-	return p.blockedOn
-}
-
-// blocker supplies a parked process's blocking-point label on demand. The
-// synchronization primitives implement it so the hot paths never pay for
-// fmt.Sprintf: the label is materialized only when a deadlock report, a
-// scheduling tracer, or a BlockedOn caller actually asks for it.
-type blocker interface {
-	blockLabel(arg int64) string
-}
-
 // Engine drives a simulation. Create one with New, add processes with Spawn
 // (or GoAt), then call Run.
 type Engine struct {
@@ -239,10 +169,8 @@ type Engine struct {
 	// component of the ordering key; index is origin+1 so GlobalOwner maps
 	// to slot 0. Distinct origins never share a slot, so shard workers
 	// advance their owners' counters without contention.
-	seqs    []uint64
-	parked  chan struct{}
-	procs   []*Proc
-	current *Proc
+	seqs  []uint64
+	procs []*Proc
 	// ctxOwner is the owner of the event the coordinator (or serial loop) is
 	// currently executing; events created from that context inherit it as
 	// their origin and default placement.
@@ -303,7 +231,6 @@ func newCountingSource(seed int64) *countingSource {
 // New creates an engine with virtual time 0 and a deterministic RNG.
 func New() *Engine {
 	e := &Engine{
-		parked:   make(chan struct{}),
 		ctxOwner: GlobalOwner,
 		seqs:     make([]uint64, 1),
 	}
@@ -545,150 +472,6 @@ func (e *Engine) GoAtOn(owner int, t Time, name string, body func(p *Proc)) *Pro
 	return e.spawnAt(owner, t, name, body, false)
 }
 
-func (e *Engine) spawnAt(owner int, t Time, name string, body func(p *Proc), daemon bool) *Proc {
-	if e.windowActive.Load() {
-		panic("sim: Spawn from a shard worker is not supported; spawn before Run or from a global event")
-	}
-	p := &Proc{
-		e:        e,
-		id:       len(e.procs),
-		name:     name,
-		resume:   make(chan struct{}),
-		parkedTo: e.parked,
-		state:    procNew,
-		daemon:   daemon,
-		owner:    owner,
-	}
-	e.procs = append(e.procs, p)
-	e.trace(TraceSpawn, p, "")
-	go func() {
-		<-p.resume
-		if !p.killed {
-			runBody(body, p)
-		}
-		p.state = procDone
-		p.blockedOn, p.blockedAt = "", nil
-		e.trace(TraceExit, p, "")
-		p.parkedTo <- struct{}{}
-	}()
-	e.scheduleProc(nil, e.now, e.ctxOwner, owner, t, evSwitch, p)
-	return p
-}
-
-// killSignal is panicked through a process's stack to unwind it during
-// Shutdown; runBody swallows it and nothing else.
-type killSignal struct{}
-
-func runBody(body func(p *Proc), p *Proc) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(killSignal); !ok {
-				panic(r)
-			}
-		}
-	}()
-	body(p)
-}
-
-// switchTo hands control to p and blocks until p parks or finishes. It must
-// be invoked from a runner context (inside an event callback): the serial
-// loop, the coordinator during an instant, or the shard worker owning p.
-func (e *Engine) switchTo(p *Proc) {
-	if p.state == procDone || p.state == procRunning {
-		return
-	}
-	if e.windowActive.Load() {
-		ln := e.lanes[e.shardOf[p.owner]]
-		prev := ln.current
-		ln.current = p
-		p.state = procRunning
-		p.blockedOn, p.blockedAt = "", nil
-		ln.resumes++
-		p.parkedTo = ln.parked
-		p.resume <- struct{}{}
-		<-ln.parked
-		ln.current = prev
-		return
-	}
-	prev := e.current
-	e.current = p
-	p.state = procRunning
-	p.blockedOn, p.blockedAt = "", nil
-	e.resumes++
-	e.trace(TraceResume, p, "")
-	p.parkedTo = e.parked
-	p.resume <- struct{}{}
-	<-e.parked
-	e.current = prev
-}
-
-// park is called from process context: it returns control to the current
-// runner and blocks until the process is resumed by a future switchTo.
-func (p *Proc) park(label string) {
-	p.blockedOn, p.blockedAt = label, nil
-	p.parkWait(label)
-}
-
-// parkOn is park with a lazily formatted label (see blocker). With a tracer
-// installed the label is still materialized at park time, so traces are
-// identical either way.
-func (p *Proc) parkOn(b blocker, arg int64) {
-	p.blockedOn, p.blockedAt, p.blockArg = "", b, arg
-	label := ""
-	if p.e.tracer != nil {
-		label = b.blockLabel(arg)
-	}
-	p.parkWait(label)
-}
-
-func (p *Proc) parkWait(traceLabel string) {
-	p.state = procBlocked
-	p.e.trace(TracePark, p, traceLabel)
-	p.parkedTo <- struct{}{}
-	<-p.resume
-	if p.killed {
-		panic(killSignal{})
-	}
-	p.state = procRunning
-	p.blockedOn, p.blockedAt = "", nil
-}
-
-// wake schedules the process to be resumed at the current virtual time. It
-// is idempotent: a process with a wake already pending is not scheduled
-// again, so primitives may over-notify safely. The wake event carries the
-// process's owner, so callers must run as that owner or on the coordinator.
-func (p *Proc) wake() {
-	if p.wakePending || p.state == procDone {
-		return
-	}
-	p.wakePending = true
-	e := p.e
-	src, now, origin := e.ctxFor(p.owner)
-	e.scheduleProc(src, now, origin, p.owner, now, evWake, p)
-}
-
-// Sleep suspends the process for d of virtual time. Negative durations are
-// treated as zero (the process still yields, preserving FIFO fairness).
-func (p *Proc) Sleep(d Time) {
-	if d < 0 {
-		d = 0
-	}
-	e := p.e
-	src, now, origin := e.ctxFor(p.owner)
-	e.scheduleProc(src, now, origin, p.owner, now+d, evSwitch, p)
-	p.parkOn(sleepLabel{}, int64(d))
-}
-
-// sleepLabel formats a sleeping process's blocking label on demand; the
-// zero-size value boxes into the blocker interface without allocating.
-type sleepLabel struct{}
-
-func (sleepLabel) blockLabel(arg int64) string { return fmt.Sprintf("sleep(%v)", Time(arg)) }
-
-// Yield gives other ready processes and events at the current instant a
-// chance to run before continuing.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // DeadlockError is returned by Run when the event queue drains while
 // non-daemon processes are still blocked.
 type DeadlockError struct {
@@ -782,11 +565,12 @@ func (e *Engine) Shutdown() {
 		panic("sim: Shutdown while engine is running")
 	}
 	for _, p := range e.procs {
-		if p.state == procBlocked || p.state == procNew {
-			p.killed = true
-			p.parkedTo = e.parked
-			p.resume <- struct{}{}
-			<-e.parked
+		switch p.state {
+		case procBlocked:
+			p.stop() // the pending park returns and the body unwinds
+		case procNew:
+			p.stop() // the body never starts, so exit it here
+			p.exit()
 		}
 	}
 	e.events = nil

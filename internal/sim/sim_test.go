@@ -749,33 +749,88 @@ func TestPropertyResourceInvariants(t *testing.T) {
 	}
 }
 
+// TestShutdownReleasesParkedProcs: on a 2-shard engine, processes parked on
+// both lanes (last resumed on worker goroutines) are unwound from the
+// coordinator, never-started GoAt processes end without running their
+// bodies, and every goroutine — coroutines and lane workers — is released.
 func TestShutdownReleasesParkedProcs(t *testing.T) {
 	before := runtime.NumGoroutine()
+	const owners = 4
 	e := New()
-	q := NewQueue[int](e, "never")
-	deferRan := 0
+	e.ConfigureShards(2, owners, func(o int) int { return o * 2 / owners }, 10)
+	deferRan, lateRan := 0, 0
+	var late []*Proc
 	for i := 0; i < 20; i++ {
-		e.SpawnDaemon(fmt.Sprintf("d%d", i), func(p *Proc) {
+		o := i % owners
+		q := NewQueue[int](e, fmt.Sprintf("never%d", i))
+		e.SpawnDaemonOn(o, fmt.Sprintf("d%d", i), func(p *Proc) {
 			defer func() { deferRan++ }()
 			q.Get(p)
 		})
+		late = append(late, e.GoAtOn(o, 1000, fmt.Sprintf("late%d", i), func(p *Proc) { lateRan++ }))
 	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
+	var tl *TimeLimitError
+	if err := e.RunUntil(500); !errors.As(err, &tl) {
+		t.Fatalf("RunUntil = %v, want a time-limit error", err)
 	}
 	e.Shutdown()
 	if deferRan != 20 {
 		t.Errorf("deferred cleanups ran %d times, want 20", deferRan)
 	}
-	// Goroutines are released (allow slack for the test runtime).
-	for i := 0; i < 50; i++ {
-		if runtime.NumGoroutine() <= before+2 {
-			break
+	if lateRan != 0 {
+		t.Errorf("%d never-started bodies ran", lateRan)
+	}
+	for _, p := range late {
+		if p.state != procDone {
+			t.Errorf("%s: state %d after Shutdown, want procDone", p.Name(), p.state)
 		}
+	}
+	waitGoroutines(t, before)
+	e.Shutdown() // second call is a no-op
+	if deferRan != 20 || lateRan != 0 {
+		t.Errorf("second Shutdown reran bodies: deferRan=%d lateRan=%d", deferRan, lateRan)
+	}
+	waitGoroutines(t, before)
+}
+
+// waitGoroutines fails t unless the goroutine count returns to at most want
+// (lane workers exit asynchronously once Shutdown closes their channels).
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	for i := 0; i < 100 && runtime.NumGoroutine() > want; i++ {
 		time.Sleep(time.Millisecond)
 	}
-	if got := runtime.NumGoroutine(); got > before+2 {
-		t.Errorf("goroutines leaked: %d before, %d after shutdown", before, got)
+	if got := runtime.NumGoroutine(); got > want {
+		t.Errorf("goroutines leaked: %d before, %d after shutdown", want, got)
+	}
+}
+
+// TestProcessPanicReachesRunCaller: a process body's panic is re-raised from
+// Run on the caller's goroutine — directly in serial mode, and after every
+// lane has reported when the process ran on a shard worker.
+func TestProcessPanicReachesRunCaller(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			e := New()
+			e.ConfigureShards(shards, 2, func(o int) int { return o * shards / 2 }, 10)
+			q := NewQueue[int](e, "never")
+			e.SpawnDaemonOn(0, "parked", func(p *Proc) { q.Get(p) })
+			e.SpawnOn(1, "faulty", func(p *Proc) {
+				p.Sleep(5)
+				panic("process bug")
+			})
+			got := func() (r any) {
+				defer func() { r = recover() }()
+				_ = e.Run()
+				return nil
+			}()
+			if got != "process bug" {
+				t.Fatalf("recovered %v, want the process's panic value", got)
+			}
+			e.Shutdown()
+			waitGoroutines(t, before)
+		})
 	}
 }
 

@@ -2,7 +2,10 @@ package sweep
 
 import (
 	"fmt"
+	"strings"
 	"testing"
+
+	"armcivt/internal/sim"
 )
 
 // tinyGrid is a real (simulating) contention grid small enough for unit
@@ -133,6 +136,35 @@ func TestPanicIsolation(t *testing.T) {
 		if res.Err != "" || res.Value != float64(i) {
 			t.Fatalf("point %d corrupted by neighbour's panic: %+v", i, res)
 		}
+	}
+}
+
+// TestProcessPanicIsolation: a panic inside a simulated process surfaces
+// from Engine.Run on the worker executing the point, so it becomes that
+// point's Result.Err instead of crashing the sweep.
+func TestProcessPanicIsolation(t *testing.T) {
+	points := []Point{{Experiment: ExpContention, Topo: "T0"}, {Experiment: ExpContention, Topo: "T1"}}
+	Reindex(points)
+	r := &Runner{Workers: 2, Exec: func(p Point, _ ExecOptions) Result {
+		e := sim.New()
+		defer e.Shutdown()
+		e.Spawn("worker", func(pr *sim.Proc) {
+			pr.Sleep(1)
+			if p.Index == 1 {
+				panic("process bug")
+			}
+		})
+		if err := e.Run(); err != nil {
+			return Result{Point: p, Label: p.Label(), Err: err.Error()}
+		}
+		return Result{Point: p, Label: p.Label(), Value: 1}
+	}}
+	results, st := r.Run(points)
+	if st.Failures != 1 || results[0].Err != "" {
+		t.Fatalf("failures = %d, point 0 err %q; want only point 1 to fail", st.Failures, results[0].Err)
+	}
+	if !strings.HasPrefix(results[1].Err, "panic:") {
+		t.Fatalf("process panic not captured: %q", results[1].Err)
 	}
 }
 
